@@ -255,7 +255,8 @@ impl EventDrivenEngine {
     }
 
     /// Arm the crash-safety write-ahead log: every journalled transition
-    /// and round close is fsync'd to `wal` before the engine proceeds.
+    /// and round close is written to `wal` before the engine proceeds,
+    /// and each round close fsyncs it, committing the round.
     /// Apply this *after* [`EventDrivenEngine::with_journal_capacity`],
     /// which replaces the plane.
     #[must_use]

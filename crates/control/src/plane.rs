@@ -18,9 +18,10 @@ use crate::wal::{JournalWal, WalError, WalRecord};
 /// Tracks every client's lifecycle state and journals transitions.
 ///
 /// With a WAL attached ([`ControlPlane::attach_wal`]) every journalled
-/// transition and round close is also appended — fsync'd — to an on-disk
-/// write-ahead log, and [`ControlPlane::resume`] can rebuild the plane
-/// from that log after a coordinator crash. Wire statistics are *not*
+/// transition and round close is also appended to an on-disk write-ahead
+/// log, which is fsync'd once per round at the close record, and
+/// [`ControlPlane::resume`] can rebuild the plane from that log after a
+/// coordinator crash. Wire statistics are *not*
 /// persisted: they are derived observability, reproduced by re-running.
 #[derive(Debug, Clone)]
 pub struct ControlPlane {
@@ -56,8 +57,9 @@ impl ControlPlane {
     }
 
     /// Arm the write-ahead log: from now on every journalled transition
-    /// and round close is appended (and fsync'd) to `wal` before the
-    /// call that produced it returns.
+    /// and round close is appended to `wal` before the call that produced
+    /// it returns, and each round close fsyncs the log, committing the
+    /// round.
     pub fn attach_wal(&mut self, wal: Arc<Mutex<JournalWal>>) {
         self.wal = Some(wal);
     }

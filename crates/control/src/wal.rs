@@ -3,11 +3,13 @@
 //!
 //! [`JournalWal`] is an append-only file of binary records, one per
 //! journalled transition ([`EventEntry`]) or round close ([`RoundClose`]).
-//! Every append is `fsync`'d before it returns, so the moment
-//! `ControlPlane::apply` hands a state change back to the engine the
-//! transition is durable. Record framing reuses the socket codec's
-//! discipline ([`bofl_fleet::wire`]): magic, kind, length prefix, payload,
-//! CRC-32 over everything after the magic —
+//! The durability point is the round commit: event records are written
+//! without an `fsync`, and [`JournalWal::append_close`] syncs once after
+//! writing the `Close` record, which makes the whole round durable. No
+//! durability is lost by that, because resume keeps nothing after the
+//! last `Close` anyway (see *Crash semantics*). Record framing reuses
+//! the socket codec's discipline ([`bofl_fleet::wire`]): magic, kind,
+//! length prefix, payload, CRC-32 over everything after the magic —
 //!
 //! ```text
 //! offset  size  field
@@ -37,6 +39,14 @@
 //! closed are also discarded (and truncated away), so the resumed run
 //! re-executes that round from its start and appends byte-identical
 //! records in its place.
+//!
+//! Group commit leaves those semantics as they were. A killed process
+//! leaves its written bytes in the page cache, so the file reads exactly
+//! as it would have with a sync per record. A power loss can lose or
+//! zero-fill only unsynced bytes, and those all lie after the last synced
+//! `Close`. A lost or zeroed stretch before a `Close` whose sync never
+//! finished stops decoding there (an all-zero region fails the magic
+//! check), so that round reads as uncommitted and is re-run.
 //!
 //! [`JournalTail`] is the read side: it polls the same file without ever
 //! writing to it, decoding incrementally so a half-written record at the
@@ -259,13 +269,14 @@ pub fn decode_record(buf: &[u8], offset: u64) -> Result<Option<(WalRecord, usize
 }
 
 /// The append side of the write-ahead log: an open file plus its logical
-/// length. Every append writes one whole record and `fsync`s before
-/// returning.
+/// length. Every append writes one whole record; only
+/// [`JournalWal::append_close`] `fsync`s, once per round.
 #[derive(Debug)]
 pub struct JournalWal {
     file: File,
     path: PathBuf,
     len: u64,
+    syncs: u64,
 }
 
 /// What [`JournalWal::open`] recovers: the writer positioned at the
@@ -291,6 +302,7 @@ impl JournalWal {
             file,
             path: path.to_path_buf(),
             len: 0,
+            syncs: 0,
         })
     }
 
@@ -327,32 +339,56 @@ impl JournalWal {
         let torn = (bytes.len() - pos) as u64;
         file.set_len(pos as u64)?;
         file.seek(SeekFrom::End(0))?;
-        if torn > 0 {
-            file.sync_data()?;
-        }
-        let wal = JournalWal {
+        let mut wal = JournalWal {
             file,
             path: path.to_path_buf(),
             len: pos as u64,
+            syncs: 0,
         };
+        if torn > 0 {
+            wal.sync()?;
+        }
         Ok((wal, records, torn))
     }
 
-    /// Append one record and `fsync` it.
+    /// Write one record, without an `fsync`: the record becomes durable
+    /// with the next [`JournalWal::append_close`].
     ///
     /// # Errors
     ///
-    /// Propagates the underlying file error; on error the record must be
-    /// considered *not* durable.
+    /// Propagates the underlying file error. A write that failed partway
+    /// is cut back off the file first, so the log still ends at its last
+    /// whole record and the next append lands right after it.
     pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
         let bytes = encode_record(record);
-        self.file.write_all(&bytes)?;
+        let written = self.file.write_all(&bytes);
+        self.settle_write(written, bytes.len())
+    }
+
+    /// Account for one record write: advance the clean prefix on success,
+    /// or cut whatever part of the record reached the file back to it.
+    fn settle_write(&mut self, written: io::Result<()>, record_len: usize) -> io::Result<()> {
+        match written {
+            Ok(()) => {
+                self.len += record_len as u64;
+                Ok(())
+            }
+            Err(e) => {
+                self.file.set_len(self.len)?;
+                self.file.seek(SeekFrom::Start(self.len))?;
+                Err(e)
+            }
+        }
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
         self.file.sync_data()?;
-        self.len += bytes.len() as u64;
+        self.syncs += 1;
         Ok(())
     }
 
-    /// Append one journalled transition.
+    /// Write one journalled transition (not synced; see
+    /// [`JournalWal::append`]).
     ///
     /// # Errors
     ///
@@ -361,13 +397,16 @@ impl JournalWal {
         self.append(&WalRecord::Event(*entry))
     }
 
-    /// Append one round-close commit marker.
+    /// Append one round-close commit marker and `fsync` the log: the
+    /// one sync that makes the whole round durable.
     ///
     /// # Errors
     ///
-    /// Propagates the underlying file error.
+    /// Propagates the underlying file error; on error the round must be
+    /// considered *not* durable.
     pub fn append_close(&mut self, close: &RoundClose) -> io::Result<()> {
-        self.append(&WalRecord::Close(*close))
+        self.append(&WalRecord::Close(*close))?;
+        self.sync()
     }
 
     /// Truncate the log to `offset` bytes (used by resume to discard
@@ -379,14 +418,21 @@ impl JournalWal {
     pub fn truncate_to(&mut self, offset: u64) -> io::Result<()> {
         self.file.set_len(offset)?;
         self.file.seek(SeekFrom::End(0))?;
-        self.file.sync_data()?;
         self.len = offset;
-        Ok(())
+        self.sync()
     }
 
-    /// Logical length in bytes (the clean, durable prefix).
+    /// Logical length in bytes: the clean prefix of whole records
+    /// written so far. It is durable up to the last synced `Close`.
     pub fn len(&self) -> u64 {
         self.len
+    }
+
+    /// How many `fsync`s this writer has issued: one per
+    /// [`JournalWal::append_close`], plus one for each truncation by
+    /// [`JournalWal::open`] or [`JournalWal::truncate_to`].
+    pub fn syncs(&self) -> u64 {
+        self.syncs
     }
 
     /// Whether the log holds no records.
@@ -435,7 +481,7 @@ impl JournalTail {
     /// - `Ok(Some(record))` — the next record, in append order.
     /// - `Ok(None)` — caught up: no complete record is available *yet*.
     ///   Poll again later (the writer may still be appending).
-    /// - `Err(_)` — a record in the durable prefix is genuinely corrupt,
+    /// - `Err(_)` — a record in the written prefix is genuinely corrupt,
     ///   or the file went away.
     pub fn poll(&mut self) -> Result<Option<WalRecord>, WalError> {
         loop {
@@ -582,6 +628,87 @@ mod tests {
         assert_eq!(records.len(), 3);
         assert_eq!(records[0].1, WalRecord::Event(event(0)));
         assert_eq!(records[2].1, WalRecord::Close(close()));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn an_all_zero_region_never_decodes_as_a_record() {
+        // What a power loss leaves where unsynced bytes never reached the
+        // disk: every length of zeros is corruption, never a record.
+        for n in 1..=2 * (WAL_OVERHEAD + CLOSE_PAYLOAD) {
+            assert!(
+                matches!(
+                    decode_record(&vec![0u8; n], 0),
+                    Err(WalError::Corrupt { .. })
+                ),
+                "{n} zero bytes must not decode"
+            );
+        }
+        // On disk, open stops at the hole and cuts everything after it.
+        let path = temp("zero-hole");
+        let mut wal = JournalWal::create(&path).unwrap();
+        wal.append_event(&event(0)).unwrap();
+        let hole_at = wal.len();
+        wal.append_event(&event(1)).unwrap();
+        wal.append_close(&close()).unwrap();
+        let full_len = wal.len();
+        drop(wal);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let record_len = encode_record(&WalRecord::Event(event(1))).len();
+        bytes[hole_at as usize..hole_at as usize + record_len].fill(0);
+        std::fs::write(&path, &bytes).unwrap();
+        let (wal, records, discarded) = JournalWal::open(&path).unwrap();
+        assert_eq!(records, vec![(0, WalRecord::Event(event(0)))]);
+        assert_eq!(wal.len(), hole_at);
+        assert_eq!(discarded, full_len - hole_at);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_failed_append_leaves_no_garbage_mid_file() {
+        let path = temp("failed-append");
+        let mut wal = JournalWal::create(&path).unwrap();
+        wal.append_event(&event(0)).unwrap();
+        let clean_len = wal.len();
+        // A write that fails partway: half the record reaches the file
+        // through the writer's own handle, then the error arrives.
+        let record = encode_record(&WalRecord::Event(event(1)));
+        wal.file.write_all(&record[..record.len() / 2]).unwrap();
+        let failed = wal.settle_write(Err(io::Error::other("disk full")), record.len());
+        assert!(failed.is_err());
+        assert_eq!(wal.len(), clean_len);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), clean_len);
+        // The next append lands right after the last whole record, so a
+        // later open recovers every record, the committed Close included.
+        wal.append_event(&event(1)).unwrap();
+        wal.append_close(&close()).unwrap();
+        drop(wal);
+        let (_, records, discarded) = JournalWal::open(&path).unwrap();
+        assert_eq!(discarded, 0);
+        let records: Vec<WalRecord> = records.into_iter().map(|(_, r)| r).collect();
+        assert_eq!(
+            records,
+            vec![
+                WalRecord::Event(event(0)),
+                WalRecord::Event(event(1)),
+                WalRecord::Close(close()),
+            ]
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn only_the_close_record_syncs() {
+        let path = temp("syncs");
+        let mut wal = JournalWal::create(&path).unwrap();
+        for seq in 0..4 {
+            wal.append_event(&event(seq)).unwrap();
+        }
+        assert_eq!(wal.syncs(), 0);
+        wal.append_close(&close()).unwrap();
+        assert_eq!(wal.syncs(), 1);
+        wal.truncate_to(0).unwrap();
+        assert_eq!(wal.syncs(), 2);
         std::fs::remove_file(&path).ok();
     }
 

@@ -12,7 +12,7 @@ use std::io::Write;
 use std::path::PathBuf;
 
 use bofl_control::prelude::*;
-use bofl_control::wal::encode_record;
+use bofl_control::wal::{decode_record, encode_record};
 use bofl_fl::server::FederationConfig;
 
 const ROUNDS: usize = 6;
@@ -120,6 +120,105 @@ fn a_killed_coordinator_resumes_to_the_identical_run() {
 
     std::fs::remove_file(&reference_wal).ok();
     std::fs::remove_file(&crashed_wal).ok();
+}
+
+#[test]
+fn a_power_loss_hole_before_an_unsynced_close_uncommits_that_round() {
+    // Group commit syncs only at each round's Close, so a power loss can
+    // zero-fill unsynced event records that precede a Close whose sync
+    // never finished. Stage that on round 2 of three closed rounds.
+    let seed = 2027;
+    let reference_wal = wal_path("hole-reference");
+    let crashed_wal = wal_path("hole-crashed");
+    let reference = builder(seed, 2).wal(&reference_wal).build().run();
+
+    let mut victim = builder(seed, 2).wal(&crashed_wal).build();
+    victim.run_rounds(3);
+    drop(victim);
+
+    let mut bytes = std::fs::read(&crashed_wal).unwrap();
+    let mut records = Vec::new();
+    let mut pos = 0usize;
+    while pos < bytes.len() {
+        let (record, consumed) = decode_record(&bytes[pos..], pos as u64).unwrap().unwrap();
+        records.push((pos, consumed, record));
+        pos += consumed;
+    }
+    let round_events: Vec<usize> = records
+        .iter()
+        .enumerate()
+        .filter(|(_, (_, _, r))| matches!(r, WalRecord::Event(e) if e.round == 2))
+        .map(|(i, _)| i)
+        .collect();
+    let close_1 = records
+        .iter()
+        .position(|(_, _, r)| matches!(r, WalRecord::Close(c) if c.round == 1))
+        .unwrap();
+    let close_2 = records
+        .iter()
+        .position(|(_, _, r)| matches!(r, WalRecord::Close(c) if c.round == 2))
+        .unwrap();
+    // A hole in the middle of round 2's events, before its Close.
+    let hole = round_events[round_events.len() / 2];
+    assert!(close_1 < hole && hole < close_2);
+    let (hole_at, hole_len, _) = records[hole];
+    bytes[hole_at..hole_at + hole_len].fill(0);
+    std::fs::write(&crashed_wal, &bytes).unwrap();
+
+    let mut resumed = builder(seed, 4).resume_from_wal(&crashed_wal).build();
+    let report = *resumed.resume_report().expect("resume report");
+    assert_eq!(
+        report.next_round, 2,
+        "round 2 no longer counts as committed"
+    );
+    let committed_events = records[..=close_1]
+        .iter()
+        .filter(|(_, _, r)| matches!(r, WalRecord::Event(_)))
+        .count();
+    assert_eq!(report.events_replayed, committed_events);
+    assert_eq!(report.in_flight_discarded, hole - (close_1 + 1));
+    assert_eq!(report.torn_bytes, (bytes.len() - hole_at) as u64);
+
+    let resumed_report = resumed.run();
+    drop(resumed);
+    assert_eq!(
+        reference.journal.to_jsonl(),
+        resumed_report.journal.to_jsonl()
+    );
+    assert_eq!(reference.closes, resumed_report.closes);
+    assert_eq!(
+        std::fs::read(&reference_wal).unwrap(),
+        std::fs::read(&crashed_wal).unwrap(),
+        "the re-run round must rewrite the WAL byte for byte"
+    );
+    std::fs::remove_file(&reference_wal).ok();
+    std::fs::remove_file(&crashed_wal).ok();
+}
+
+#[test]
+fn a_wal_run_syncs_once_per_round_close() {
+    // Group commit: event records never fsync, each Close does once.
+    let seed = 77;
+    let path = wal_path("syncs");
+    let mut sim = ControlSimulation::builder(FleetSpec::mixed(10, seed))
+        .federation(FederationConfig {
+            clients_per_round: 4,
+            rounds: ROUNDS,
+            classes: 3,
+            feature_dims: 6,
+            seed,
+            ..FederationConfig::default()
+        })
+        .wal(&path)
+        .build();
+    let report = sim.run();
+    assert_eq!(report.closes.len(), ROUNDS);
+    let plane = sim.plane();
+    let plane = plane.lock().unwrap();
+    let wal = plane.wal().expect("WAL attached").lock().unwrap();
+    assert!(report.journal.total_appended() > ROUNDS as u64);
+    assert_eq!(wal.syncs(), ROUNDS as u64, "one fsync per round close");
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -56,6 +56,8 @@ pub mod guardian;
 pub mod metrics;
 /// Aggregated measurement storage.
 pub mod observation;
+#[cfg(test)]
+mod pareto_reference;
 pub mod runner;
 /// Round specifications, phases and the `PaceController` trait.
 pub mod task;

@@ -106,8 +106,11 @@ impl AggregatedObservation {
 /// index.
 #[derive(Debug, Clone, Default)]
 pub struct ObservationStore {
-    by_index: HashMap<ConfigIndex, AggregatedObservation>,
-    /// Indices in first-observation order (stable reporting).
+    /// Where each observed grid index sits in `aggregates`.
+    position: HashMap<ConfigIndex, usize>,
+    /// Aggregates in first-observation order (stable reporting).
+    aggregates: Vec<AggregatedObservation>,
+    /// Their grid indices, in the same order.
     order: Vec<ConfigIndex>,
     quarantine: QuarantinePolicy,
     quarantined_jobs: u64,
@@ -150,8 +153,9 @@ impl ObservationStore {
         let index = space
             .index_of(config)
             .expect("observations must be grid points");
-        match self.by_index.get_mut(&index) {
-            Some(agg) => {
+        match self.position.get(&index) {
+            Some(&p) => {
+                let agg = &mut self.aggregates[p];
                 if self.quarantine.enabled
                     && agg.jobs >= self.quarantine.min_jobs
                     && cost.latency_s > self.quarantine.factor * agg.mean_latency_s()
@@ -165,15 +169,13 @@ impl ObservationStore {
                 false
             }
             None => {
-                self.by_index.insert(
-                    index,
-                    AggregatedObservation {
-                        config,
-                        jobs: 1,
-                        total_latency_s: cost.latency_s,
-                        total_energy_j: cost.energy_j,
-                    },
-                );
+                self.position.insert(index, self.aggregates.len());
+                self.aggregates.push(AggregatedObservation {
+                    config,
+                    jobs: 1,
+                    total_latency_s: cost.latency_s,
+                    total_energy_j: cost.energy_j,
+                });
                 self.order.push(index);
                 true
             }
@@ -182,7 +184,7 @@ impl ObservationStore {
 
     /// The aggregate for a configuration, if it has been observed.
     pub fn get(&self, index: ConfigIndex) -> Option<&AggregatedObservation> {
-        self.by_index.get(&index)
+        self.position.get(&index).map(|&p| &self.aggregates[p])
     }
 
     /// The aggregate for a configuration value, if observed.
@@ -191,22 +193,22 @@ impl ObservationStore {
         space: &ConfigSpace,
         config: DvfsConfig,
     ) -> Option<&AggregatedObservation> {
-        space.index_of(config).and_then(|i| self.by_index.get(&i))
+        space.index_of(config).and_then(|i| self.get(i))
     }
 
     /// Number of distinct configurations observed.
     pub fn len(&self) -> usize {
-        self.by_index.len()
+        self.aggregates.len()
     }
 
     /// `true` if nothing has been observed yet.
     pub fn is_empty(&self) -> bool {
-        self.by_index.is_empty()
+        self.aggregates.is_empty()
     }
 
     /// Iterates over aggregates in first-observation order.
     pub fn iter(&self) -> impl Iterator<Item = &AggregatedObservation> + '_ {
-        self.order.iter().map(|i| &self.by_index[i])
+        self.aggregates.iter()
     }
 
     /// Grid indices in first-observation order.
@@ -216,14 +218,38 @@ impl ObservationStore {
 
     /// The observed configurations whose mean costs are Pareto-optimal
     /// (energy, latency both minimized), in first-observation order.
+    ///
+    /// An aggregate survives iff no other aggregate's mean cost
+    /// [`JobCost::dominates`] it, so two configurations with the same
+    /// cost pair both survive. O(N log N): one sort by (energy, latency)
+    /// and one sweep that compares each entry against the lowest latency
+    /// at strictly lower energy and the lowest latency at equal energy.
+    /// A cost with a NaN coordinate neither dominates nor is dominated,
+    /// so it always survives.
     pub fn pareto_set(&self) -> Vec<&AggregatedObservation> {
-        let all: Vec<&AggregatedObservation> = self.iter().collect();
-        all.iter()
-            .filter(|a| {
-                !all.iter()
-                    .any(|b| b.config != a.config && b.mean_cost().dominates(&a.mean_cost()))
-            })
-            .copied()
+        let mut keep = vec![true; self.aggregates.len()];
+        // (energy, latency, position) of every cost without a NaN.
+        let mut points: Vec<(f64, f64, usize)> = self
+            .aggregates
+            .iter()
+            .enumerate()
+            .map(|(i, a)| (a.mean_energy_j(), a.mean_latency_s(), i))
+            .filter(|&(e, l, _)| !e.is_nan() && !l.is_nan())
+            .collect();
+        points.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        // Lowest latency among entries of strictly lower energy.
+        let mut lower_min: Option<f64> = None;
+        for group in points.chunk_by(|a, b| a.0 == b.0) {
+            let group_min = group.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
+            for &(_, latency, i) in group {
+                keep[i] = lower_min.is_none_or(|m| m > latency) && group_min >= latency;
+            }
+            lower_min = Some(lower_min.map_or(group_min, |m| m.min(group_min)));
+        }
+        self.aggregates
+            .iter()
+            .zip(keep)
+            .filter_map(|(a, k)| k.then_some(a))
             .collect()
     }
 
@@ -245,6 +271,7 @@ impl ObservationStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pareto_reference::pareto_set_quadratic;
     use bofl_device::{ConfigSpace, FreqMHz, FreqTable};
 
     fn space() -> ConfigSpace {
@@ -319,6 +346,45 @@ mod tests {
         let pareto = store.pareto_set();
         assert_eq!(pareto.len(), 2);
         assert!(pareto.iter().all(|a| a.mean_latency_s() < 0.45));
+        assert_eq!(pareto, pareto_set_quadratic(&store));
+    }
+
+    #[test]
+    fn pareto_sweep_matches_the_scan_on_ties_and_odd_values() {
+        let sp = space();
+        // (energy, latency) per grid index, in observation order: an
+        // identical pair at two configs, an equal-energy group, an
+        // equal-latency pair, signed zeros, an infinity and NaNs.
+        let costs = [
+            (3.0, 0.4),
+            (3.0, 0.4),
+            (3.0, 0.5),
+            (2.0, 0.5),
+            (0.0, f64::INFINITY),
+            (-0.0, 0.9),
+            (f64::NAN, 0.1),
+            (5.0, f64::NAN),
+        ];
+        let mut store = ObservationStore::new();
+        for (i, &(energy_j, latency_s)) in costs.iter().enumerate() {
+            let x = sp.get(ConfigIndex(i)).unwrap();
+            store.record(
+                &sp,
+                x,
+                JobCost {
+                    latency_s,
+                    energy_j,
+                },
+            );
+        }
+        let sweep: Vec<DvfsConfig> = store.pareto_set().iter().map(|a| a.config).collect();
+        let scan: Vec<DvfsConfig> = pareto_set_quadratic(&store)
+            .iter()
+            .map(|a| a.config)
+            .collect();
+        assert_eq!(sweep, scan);
+        let kept: Vec<usize> = sweep.iter().map(|&x| sp.index_of(x).unwrap().0).collect();
+        assert_eq!(kept, vec![0, 1, 3, 5, 6, 7]);
     }
 
     #[test]
