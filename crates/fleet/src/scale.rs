@@ -380,6 +380,8 @@ pub struct ScaleSimulation {
     // Reused per-round buffers — the steady-state round allocates
     // nothing beyond what the OS hands the worker threads.
     cohort: Vec<u32>,
+    block_cohorts: Vec<Vec<u32>>,
+    candidates: Vec<ClientStat>,
     cells: Vec<Cell>,
     slots: Vec<ShardSlot>,
     root: UpdateAccumulator,
@@ -449,6 +451,8 @@ impl ScaleSimulationBuilder {
             global: initial_model(&config),
             residuals: HashMap::new(),
             cohort: Vec::with_capacity(config.cohort),
+            block_cohorts: Vec::new(),
+            candidates: Vec::new(),
             cells: Vec::with_capacity(config.cohort),
             slots,
             root: UpdateAccumulator::new(),
@@ -503,9 +507,42 @@ impl ScaleSimulation {
     ) -> ScaleRoundTrace {
         let cfg = self.config;
 
-        // 1. Cohort selection over the registry (sorted by id).
-        self.sampler
-            .sample(&self.clients, cfg.cohort, round, cfg.seed, &mut self.cohort);
+        // 1. Cohort selection over the registry (sorted by id). With
+        //    several workers each selects over one contiguous registry
+        //    block, and one more call over the blocks' winners (already in
+        //    id order) picks the cohort: samplers are decomposable, so
+        //    every global winner also wins its own block.
+        let sampler = &*self.sampler;
+        if cfg.workers > 1 {
+            let blocks = self
+                .clients
+                .chunks(self.clients.len().div_ceil(cfg.workers).max(1));
+            self.block_cohorts.resize_with(blocks.len(), Vec::new);
+            let tasks: Vec<(&[ClientStat], &mut Vec<u32>)> =
+                blocks.zip(self.block_cohorts.iter_mut()).collect();
+            drain_tasks(
+                cfg.workers,
+                tasks,
+                || (),
+                |(), (clients, winners)| {
+                    sampler.sample(clients, cfg.cohort, round, cfg.seed, winners);
+                },
+            );
+            self.candidates.clear();
+            for winners in &self.block_cohorts {
+                self.candidates
+                    .extend(winners.iter().map(|&id| self.clients[id as usize]));
+            }
+            sampler.sample(
+                &self.candidates,
+                cfg.cohort,
+                round,
+                cfg.seed,
+                &mut self.cohort,
+            );
+        } else {
+            sampler.sample(&self.clients, cfg.cohort, round, cfg.seed, &mut self.cohort);
+        }
 
         // 2. Sequential pre-pass in id order: pure fault/retry/energy
         //    outcomes per member. Nothing here depends on shards or

@@ -4,19 +4,33 @@
 //! every client's full model; the fixed-point [`UpdateAccumulator`] path
 //! reuses preallocated buffers and performs **zero** allocations once
 //! warm.
+//!
+//! The count is per thread: the test harness runs sibling tests on other
+//! threads at the same time, and their allocations must not be charged
+//! to the path under measurement. `aggregate_sharded` runs entirely on
+//! the calling thread, so a per-thread count sees all of its work.
 
 use bofl_fleet::shard::{aggregate_sharded, ShardPlan, UpdateAccumulator};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
-/// Passes every request through to the system allocator, counting calls.
+/// Passes every request through to the system allocator, counting calls
+/// made on the current thread.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching it never
+    // allocates and never fails during thread teardown.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -25,7 +39,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -33,10 +47,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
+/// Allocations `f` makes on the calling thread.
 fn allocations_during(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::SeqCst) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 const DIM: usize = 256;

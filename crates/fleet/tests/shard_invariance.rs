@@ -3,7 +3,9 @@
 //! per-round trace and the final global model are byte-identical across
 //! shard counts {1, 4, 16} × worker counts {1, 2, 8} — and the fixed-point
 //! accumulator that makes this possible agrees with naive float averaging
-//! to quantization precision. The compression seam rides the same
+//! to quantization precision. Every built-in sampler decomposes over
+//! registry blocks, which is what lets each worker select over its own
+//! block. The compression seam rides the same
 //! contract: encodings are pure functions of `(update, stream seed,
 //! residual)`, and error feedback conserves the signal exactly.
 
@@ -28,8 +30,24 @@ fn scale_config(seed: u64, shards: usize, workers: usize, error_feedback: bool) 
 }
 
 fn run_scale(seed: u64, shards: usize, workers: usize, error_feedback: bool) -> ScaleReport {
+    run_scale_with(
+        LossStalenessSampler::default(),
+        seed,
+        shards,
+        workers,
+        error_feedback,
+    )
+}
+
+fn run_scale_with(
+    sampler: impl ClientSampler + 'static,
+    seed: u64,
+    shards: usize,
+    workers: usize,
+    error_feedback: bool,
+) -> ScaleReport {
     ScaleSimulation::builder(scale_config(seed, shards, workers, error_feedback))
-        .sampler(LossStalenessSampler::default())
+        .sampler(sampler)
         .compressor(Int8Quantizer)
         .faults(
             FaultPlan::new(seed ^ 0xFA17)
@@ -41,8 +59,100 @@ fn run_scale(seed: u64, shards: usize, workers: usize, error_feedback: bool) -> 
         .run()
 }
 
+/// A fleet of `n` clients whose stats are drawn from `seed`: energies,
+/// losses and last participations from small pools, so keys and
+/// staleness repeat across clients.
+fn drawn_fleet(n: usize, seed: u64) -> Vec<ClientStat> {
+    (0..n)
+        .map(|id| {
+            let mut h = (seed ^ (id as u64) << 20).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            h ^= h >> 29;
+            let kind = if h & 1 == 0 {
+                DeviceKind::JetsonAgx
+            } else {
+                DeviceKind::JetsonTx2
+            };
+            ClientStat {
+                id: id as u32,
+                samples: 32 + (h >> 8) as u32 % 200,
+                energy_j_est: [40.0, 90.0, 200.0][(h >> 16) as usize % 3],
+                last_loss: [0.1, 0.5, 2.0][(h >> 24) as usize % 3],
+                last_selected: [u32::MAX, 0, 3, 9][(h >> 32) as usize % 4],
+                kind,
+            }
+        })
+        .collect()
+}
+
+fn built_in_samplers() -> Vec<Box<dyn ClientSampler>> {
+    vec![
+        Box::new(UniformSampler),
+        Box::new(EnergyAwareSampler::default()),
+        Box::new(EnergyAwareSampler { alpha: 3.0 }),
+        Box::new(LossStalenessSampler::default()),
+        Box::new(LossStalenessSampler {
+            loss_exp: 2.0,
+            staleness_exp: 4.0,
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every built-in sampler is decomposable: for any split of the fleet
+    /// into contiguous blocks (empty ones and ones smaller than the
+    /// cohort included), sampling the union of the blocks' cohorts gives
+    /// the whole fleet's cohort. The scale run's per-worker selection
+    /// rests on this.
+    #[test]
+    fn built_in_samplers_decompose_over_blocks(
+        n in 0usize..600,
+        cohort in 0usize..80,
+        cuts in prop::collection::vec(0usize..600, 0..10),
+        round in 0usize..20,
+        seed in 0u64..u64::MAX,
+    ) {
+        let fleet = drawn_fleet(n, seed);
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(n)).collect();
+        bounds.push(0);
+        bounds.push(n);
+        bounds.sort_unstable();
+        for sampler in built_in_samplers() {
+            let mut whole = Vec::new();
+            sampler.sample(&fleet, cohort, round, seed, &mut whole);
+            let mut union = Vec::new();
+            let mut block_cohort = Vec::new();
+            for pair in bounds.windows(2) {
+                sampler.sample(&fleet[pair[0]..pair[1]], cohort, round, seed, &mut block_cohort);
+                union.extend(block_cohort.iter().map(|&id| fleet[id as usize]));
+            }
+            let mut merged = Vec::new();
+            sampler.sample(&union, cohort, round, seed, &mut merged);
+            prop_assert_eq!(merged, whole);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The energy-aware sampler weighs a per-client stat the other
+    /// policies ignore; its scale run must not see the worker count
+    /// either.
+    #[test]
+    fn energy_aware_scale_run_is_worker_invariant(seed in 0u64..1_000_000) {
+        let sampler = EnergyAwareSampler { alpha: 2.0 };
+        let reference = run_scale_with(sampler, seed, 4, 1, false);
+        for workers in [2usize, 8] {
+            let challenger = run_scale_with(sampler, seed, 4, workers, false);
+            prop_assert_eq!(&challenger.trace, &reference.trace);
+            prop_assert_eq!(
+                challenger.final_model.iter().map(|p| p.to_bits()).collect::<Vec<u64>>(),
+                reference.final_model.iter().map(|p| p.to_bits()).collect::<Vec<u64>>()
+            );
+        }
+    }
 
     /// Shards {1, 4, 16} × workers {1, 2, 8}: one reference run, eight
     /// challengers, every trace row and every model bit identical.
