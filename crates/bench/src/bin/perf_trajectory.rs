@@ -18,11 +18,8 @@
 //!   fleet simulation through the barrier `FleetEngine` and through
 //!   `bofl-control`'s `EventDrivenEngine` (lifecycle journal + quorum
 //!   closes), isolating the control plane's overhead;
-//! - `round/loopback_transport` — the event-driven run again with
-//!   updates carried over real OS-thread loopback lanes, isolating the
-//!   transport seam's overhead;
-//! - `round/socket_transport` — the same run once more with every update
-//!   carried over real localhost TCP (framed, checksummed, acked),
+//! - `round/socket_transport` — the event-driven run again with every
+//!   update carried over real localhost TCP (framed, checksummed, acked),
 //!   isolating the socket stack's overhead; each `round/*` entry records
 //!   its transport kind in the artifact so regressions can be attributed
 //!   to the wire;
@@ -39,7 +36,7 @@ use std::path::PathBuf;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use bofl_bench::host_cores;
-use bofl_control::{ControlSimulation, LoopbackTransport, SocketTransport};
+use bofl_control::{ControlSimulation, SocketTransport};
 use bofl_fl::server::{AggregationPolicy, FederationConfig};
 use bofl_fl::RetryPolicy;
 use bofl_fleet::scale::ScaleConfig;
@@ -251,23 +248,10 @@ fn round_loop_workloads(results: &mut Vec<BenchResult>) {
             .run();
     });
     tag_transport(results, "virtual");
-    // The same event-driven run with updates carried over real OS-thread
-    // loopback lanes instead of the virtual wire: isolates the cost of
-    // thread spawn + channel collection per round.
-    bench("round/loopback_transport_40c_5r_4w", results, || {
-        ControlSimulation::builder(spec)
-            .federation(round_config())
-            .workers(4)
-            .faults(round_faults().with_churn(0.05, 2))
-            .retry(RetryPolicy::recovery())
-            .transport(LoopbackTransport::new(4))
-            .build()
-            .run();
-    });
-    tag_transport(results, "loopback");
-    // And once more over real localhost TCP: every update framed,
-    // checksummed and acked through four persistent lane connections.
-    // The delta against loopback is the socket stack's cost.
+    // The same event-driven run over real localhost TCP: every update
+    // framed, checksummed and acked through four persistent lane
+    // connections. The delta against `round/event_driven_40c_5r_4w`
+    // (virtual wire) is the socket stack's cost.
     bench("round/socket_transport_40c_5r_4w", results, || {
         ControlSimulation::builder(spec)
             .federation(round_config())

@@ -858,7 +858,7 @@ impl RoundEngine for EventDrivenEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::LoopbackTransport;
+    use crate::socket::SocketTransport;
 
     #[test]
     fn builders_wire_the_inner_engine() {
@@ -876,10 +876,10 @@ mod tests {
     #[test]
     fn transport_builders_stack() {
         let engine = EventDrivenEngine::sequential()
-            .with_transport(LoopbackTransport::new(2))
+            .with_transport(SocketTransport::in_process(2))
             .with_chaos(ChaosPlan::new(1).with_drops(0.5))
             .with_liveness(LivenessPolicy::recovery(1));
-        assert_eq!(engine.transport_label(), "chaos(loopback(2 lanes))");
+        assert_eq!(engine.transport_label(), "chaos(socket(2 lanes))");
         // Cloning an engine clones its boxed transport.
         assert_eq!(engine.clone().transport_label(), engine.transport_label());
     }

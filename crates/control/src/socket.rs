@@ -1,14 +1,12 @@
 //! [`SocketTransport`]: the [`Transport`] contract carried over real
 //! localhost TCP.
 //!
-//! Where [`crate::transport::LoopbackTransport`] moves deliveries through
-//! in-process mpsc channels, this carrier pushes them through actual
-//! sockets using the length-prefixed, checksummed frame codec in
-//! [`bofl_fleet::wire`]. Each `carry` call binds an ephemeral coordinator
-//! listener on `127.0.0.1`, shards the round's envelopes round-robin
-//! across client lanes (threads, or spawned `socket_client` OS processes
-//! in [`SocketTransport::spawned`] mode), and every lane speaks the
-//! Data/Ack protocol:
+//! This carrier pushes deliveries through actual sockets using the
+//! length-prefixed, checksummed frame codec in [`bofl_fleet::wire`]. Each
+//! `carry` call binds an ephemeral coordinator listener on `127.0.0.1`,
+//! shards the round's envelopes round-robin across client lanes (threads,
+//! or spawned `socket_client` OS processes in [`SocketTransport::spawned`]
+//! mode), and every lane speaks the Data/Ack protocol:
 //!
 //! - a lane writes one `Data` frame per envelope and waits for the
 //!   coordinator's matching `Ack` within [`SocketTransport::with_ack_timeout`];
@@ -20,7 +18,12 @@
 //! - before reusing a pooled connection a lane can probe it with a
 //!   `Ping`/`Pong` heartbeat (on by default), which is what detects the
 //!   half-open connections a silently dropped peer leaves behind;
-//! - the coordinator deduplicates on `(round, client, copy)` and re-acks
+//! - the coordinator accepts a `Data` frame only if it matches one of the
+//!   round's envelopes — same `(round, client)`, same `t_send_s` bits,
+//!   `copy == 0` — and counts every other frame in
+//!   [`WireStats::rejected`] without acking it, so a forged or stale
+//!   frame from any local peer never reaches the engine;
+//! - the coordinator deduplicates on `(round, client)` and re-acks
 //!   duplicates, so a retry after a lost ack stays exactly-once.
 //!
 //! Virtual timestamps travel *inside* the frames (`t_send_s`), and every
@@ -34,11 +37,11 @@
 //! is simply absent from the output; the engine surfaces it through the
 //! existing `transport_loss` / liveness machinery.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -324,15 +327,21 @@ fn lane_main(
     acked
 }
 
+/// Coordinator state shared by the connections of one `carry` call.
+struct Inbox {
+    /// The send-time bits of each `(round, client)` envelope handed to
+    /// the carry: the only Data frames the coordinator accepts.
+    expected: HashMap<(usize, usize), u64>,
+    done: AtomicBool,
+    seen: Mutex<HashSet<(usize, usize)>>,
+    rejected: AtomicUsize,
+}
+
 /// Coordinator side of one accepted connection: decode frames, hand fresh
-/// Data deliveries to the collector, ack everything (re-acking duplicates
-/// keeps retries exactly-once), echo Pings.
-fn serve_connection(
-    mut stream: TcpStream,
-    tx: mpsc::Sender<Delivery>,
-    done: &AtomicBool,
-    seen: &Mutex<HashSet<(u32, u32, u32)>>,
-) {
+/// Data deliveries to the collector, ack every accepted frame (re-acking
+/// duplicates keeps retries exactly-once), echo Pings. A Data frame that
+/// matches no envelope is counted as rejected and left unacked.
+fn serve_connection(mut stream: TcpStream, tx: mpsc::Sender<Delivery>, inbox: &Inbox) {
     if stream.set_nodelay(true).is_err() {
         return;
     }
@@ -343,21 +352,23 @@ fn serve_connection(
         return;
     }
     let mut reader = FrameReader::new();
-    while !done.load(Ordering::SeqCst) {
+    while !inbox.done.load(Ordering::SeqCst) {
         match reader.poll(&mut stream) {
             Ok(Some(Frame::Data(msg))) => {
-                let fresh = seen
-                    .lock()
-                    .expect("dedup set poisoned")
-                    .insert((msg.round, msg.client, msg.copy));
+                let key = (msg.round as usize, msg.client as usize);
+                if msg.copy != 0 || inbox.expected.get(&key) != Some(&msg.t_send_s.to_bits()) {
+                    inbox.rejected.fetch_add(1, Ordering::SeqCst);
+                    continue;
+                }
+                let fresh = inbox.seen.lock().expect("dedup set poisoned").insert(key);
                 if fresh {
                     // Arrival is the *virtual* send time carried in the
                     // frame — real TCP latency must not leak.
                     let _ = tx.send(Delivery {
-                        client_id: msg.client as usize,
+                        client_id: key.1,
                         t_send_s: msg.t_send_s,
                         t_arrive_s: msg.t_send_s,
-                        copy: msg.copy,
+                        copy: 0,
                     });
                 }
                 if stream.write_all(&encode_frame(&Frame::Ack(msg))).is_err() {
@@ -379,40 +390,41 @@ fn serve_connection(
     }
 }
 
-impl Transport for SocketTransport {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn carry(&mut self, _round: usize, _t0_s: f64, messages: &[Envelope]) -> Carried {
-        if messages.is_empty() {
-            return Carried::default();
-        }
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind coordinator listener");
+impl SocketTransport {
+    /// Coordinator side of one round: accept connections on `listener`
+    /// until `clients(addr)` returns, validating every inbound frame
+    /// against `messages`.
+    fn serve(
+        &self,
+        listener: TcpListener,
+        messages: &[Envelope],
+        clients: impl FnOnce(SocketAddr),
+    ) -> Carried {
         listener
             .set_nonblocking(true)
             .expect("nonblocking listener");
         let addr = listener.local_addr().expect("listener address");
 
+        let inbox = Inbox {
+            expected: messages
+                .iter()
+                .map(|e| ((e.round, e.client_id), e.t_send_s.to_bits()))
+                .collect(),
+            done: AtomicBool::new(false),
+            seen: Mutex::new(HashSet::new()),
+            rejected: AtomicUsize::new(0),
+        };
         let (tx, rx) = mpsc::channel::<Delivery>();
-        let done = AtomicBool::new(false);
         let drops_left = AtomicU32::new(self.accept_faults);
-        let seen: Mutex<HashSet<(u32, u32, u32)>> = Mutex::new(HashSet::new());
-        let reconnect = self.reconnect;
-        let ack_timeout = self.ack_timeout;
-        let heartbeat = self.heartbeat;
-        let mode = self.mode.clone();
-        let lanes = self.lanes.min(messages.len()).max(1);
 
         thread::scope(|s| {
-            let done_ref = &done;
-            let seen_ref = &seen;
+            let inbox = &inbox;
             let drops_ref = &drops_left;
             let accept_tx = tx.clone();
             // Accept loop: spawns one handler per connection on the same
             // scope, so everything joins before carry returns.
             s.spawn(move || {
-                while !done_ref.load(Ordering::SeqCst) {
+                while !inbox.done.load(Ordering::SeqCst) {
                     match listener.accept() {
                         Ok((stream, _peer)) => {
                             // Fault injection: drop the first N accepted
@@ -427,7 +439,7 @@ impl Transport for SocketTransport {
                                 continue;
                             }
                             let tx = accept_tx.clone();
-                            s.spawn(move || serve_connection(stream, tx, done_ref, seen_ref));
+                            s.spawn(move || serve_connection(stream, tx, inbox));
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                             thread::sleep(Duration::from_millis(1));
@@ -436,35 +448,8 @@ impl Transport for SocketTransport {
                     }
                 }
             });
-
-            match &mode {
-                SocketMode::InProcess => {
-                    let handles: Vec<_> = (0..lanes)
-                        .map(|lane| {
-                            let shard: Vec<Envelope> =
-                                messages.iter().skip(lane).step_by(lanes).copied().collect();
-                            s.spawn(move || {
-                                lane_main(addr, &shard, reconnect, ack_timeout, heartbeat)
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        let _ = h.join();
-                    }
-                }
-                SocketMode::Spawn(exe) => {
-                    let mut harness = ProcessClientHarness::new(exe.clone(), addr.to_string());
-                    for env in messages {
-                        let _ = harness.spawn(ClientSpec {
-                            client_id: env.client_id,
-                            round: env.round,
-                            t_send_s: env.t_send_s,
-                        });
-                    }
-                    let _ = harness.wait_all();
-                }
-            }
-            done.store(true, Ordering::SeqCst);
+            clients(addr);
+            inbox.done.store(true, Ordering::SeqCst);
         });
         drop(tx);
 
@@ -475,9 +460,54 @@ impl Transport for SocketTransport {
         let stats = WireStats {
             sent: messages.len(),
             dropped: messages.len().saturating_sub(deliveries.len()),
+            rejected: inbox.rejected.into_inner(),
             ..WireStats::default()
         };
         Carried { deliveries, stats }
+    }
+
+    /// Client side of one round: deliver `messages` to `addr` through
+    /// this transport's lanes, returning once every lane has finished.
+    fn run_clients(&self, addr: SocketAddr, messages: &[Envelope]) {
+        match &self.mode {
+            SocketMode::InProcess => {
+                let lanes = self.lanes.min(messages.len()).max(1);
+                let (reconnect, ack_timeout, heartbeat) =
+                    (self.reconnect, self.ack_timeout, self.heartbeat);
+                thread::scope(|s| {
+                    for lane in 0..lanes {
+                        let shard: Vec<Envelope> =
+                            messages.iter().skip(lane).step_by(lanes).copied().collect();
+                        s.spawn(move || lane_main(addr, &shard, reconnect, ack_timeout, heartbeat));
+                    }
+                });
+            }
+            SocketMode::Spawn(exe) => {
+                let mut harness = ProcessClientHarness::new(exe.clone(), addr.to_string());
+                for env in messages {
+                    let _ = harness.spawn(ClientSpec {
+                        client_id: env.client_id,
+                        round: env.round,
+                        t_send_s: env.t_send_s,
+                    });
+                }
+                let _ = harness.wait_all();
+            }
+        }
+    }
+}
+
+impl Transport for SocketTransport {
+    fn label(&self) -> &str {
+        &self.label
+    }
+
+    fn carry(&mut self, _round: usize, _t0_s: f64, messages: &[Envelope]) -> Carried {
+        if messages.is_empty() {
+            return Carried::default();
+        }
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind coordinator listener");
+        self.serve(listener, messages, |addr| self.run_clients(addr, messages))
     }
 
     fn clone_box(&self) -> Box<dyn Transport> {
@@ -538,6 +568,80 @@ mod tests {
         assert!(got.deliveries.is_empty());
         assert_eq!(got.stats.sent, 3);
         assert_eq!(got.stats.dropped, 3);
+    }
+
+    /// Run one in-process round over a live listener, with a hostile
+    /// local peer that writes `frames` (and waits until the coordinator
+    /// has read them) before the honest lanes start.
+    fn carry_with_hostile_peer(msgs: &[Envelope], frames: &[WireMsg]) -> Carried {
+        let transport = SocketTransport::in_process(2);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        transport.serve(listener, msgs, |addr| {
+            let mut rogue = connect(addr).expect("rogue connects");
+            for &msg in frames {
+                rogue
+                    .stream
+                    .write_all(&encode_frame(&Frame::Data(msg)))
+                    .unwrap();
+            }
+            // Frames on one connection are served in order, so the pong
+            // proves every hostile frame has been judged.
+            assert!(ping_pong(&mut rogue, 7, Duration::from_secs(5)));
+            transport.run_clients(addr, msgs);
+        })
+    }
+
+    #[test]
+    fn forged_and_stale_frames_are_rejected_not_delivered() {
+        // Clients 0, 2 and 4 of a six-client fleet report in round 3.
+        let msgs: Vec<Envelope> = [0usize, 2, 4]
+            .iter()
+            .map(|&id| Envelope {
+                round: 3,
+                client_id: id,
+                t_send_s: 20.0 + id as f64,
+            })
+            .collect();
+        let frame = |round: u32, client: u32, copy: u32, t_send_s: f64| WireMsg {
+            round,
+            client,
+            copy,
+            t_send_s,
+        };
+        let hostile = [
+            frame(3, 6, 0, 26.0), // client id at the fleet size
+            frame(2, 0, 0, 20.0), // stale round
+            frame(3, 3, 0, 23.0), // in range, but not in this round
+            frame(3, 2, 1, 22.0), // injected copy of an honest update
+        ];
+        let got = carry_with_hostile_peer(&msgs, &hostile);
+        let want = VirtualTransport.carry(3, 0.0, &msgs);
+        assert_eq!(
+            got.deliveries, want.deliveries,
+            "honest frames still arrive"
+        );
+        assert_eq!(got.stats.rejected, 4);
+        assert_eq!(got.stats.sent, 3);
+        assert_eq!(got.stats.dropped, 0);
+    }
+
+    #[test]
+    fn forged_send_time_cannot_claim_an_honest_slot() {
+        // A frame for a real envelope with the wrong send time arrives
+        // first; it must not win the dedup slot for client 1.
+        let msgs = envelopes(3, 5);
+        let forged = WireMsg {
+            round: 5,
+            client: 1,
+            copy: 0,
+            t_send_s: msgs[1].t_send_s + 1.0,
+        };
+        let got = carry_with_hostile_peer(&msgs, &[forged]);
+        assert_eq!(
+            got.deliveries,
+            VirtualTransport.carry(5, 0.0, &msgs).deliveries
+        );
+        assert_eq!(got.stats.rejected, 1);
     }
 
     #[test]

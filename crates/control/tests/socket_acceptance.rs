@@ -13,9 +13,9 @@ use bofl_control::prelude::*;
 use bofl_fl::server::FederationConfig;
 use proptest::prelude::*;
 
-/// The same hostile baseline the loopback suite uses: dropout,
-/// stragglers, upload failures, churn, retries and quorum closes all
-/// active at once — everything except wire faults.
+/// The same deliberately hostile baseline the determinism suite uses:
+/// dropout, stragglers, upload failures, churn, retries and quorum
+/// closes all active at once — everything except wire faults.
 fn builder(seed: u64, workers: usize) -> ControlSimulationBuilder {
     ControlSimulation::builder(FleetSpec::mixed(10, seed))
         .federation(FederationConfig {
@@ -61,29 +61,56 @@ fn assert_identical(reference: &ControlRunReport, got: &ControlRunReport, what: 
 fn zero_fault_socket_is_byte_identical_to_virtual_at_any_lane_count() {
     let seed = 42;
     let reference = run_virtual(seed, 1);
-    for lanes in [1, 2, 8] {
-        let socket = builder(seed, 2)
-            .transport(SocketTransport::in_process(lanes))
-            .build()
-            .run();
-        assert_identical(&reference, &socket, &format!("lanes={lanes}"));
+    for workers in [1, 2, 8] {
+        for lanes in [1, 2, 8] {
+            let socket = builder(seed, workers)
+                .transport(SocketTransport::in_process(lanes))
+                .build()
+                .run();
+            assert_identical(
+                &reference,
+                &socket,
+                &format!("workers={workers}, lanes={lanes}"),
+            );
+        }
     }
 }
 
 #[test]
-fn socket_matches_loopback_too() {
-    // All three carriers implement one contract; pin them to each other,
-    // not just pairwise to virtual.
-    let seed = 1312;
-    let loopback = builder(seed, 2)
-        .transport(LoopbackTransport::new(4))
+fn socket_under_an_empty_chaos_plan_stays_identical() {
+    // The full acceptance stack — socket lanes wrapped in a chaos
+    // decorator — with an *empty* plan must still be a byte-identical
+    // no-op: chaos only changes the run when a fault family is armed.
+    let seed = 7;
+    let reference = run_virtual(seed, 2);
+    let chaotic = builder(seed, 2)
+        .transport(ChaosTransport::new(
+            Box::new(SocketTransport::in_process(4)),
+            ChaosPlan::none(),
+        ))
         .build()
         .run();
-    let socket = builder(seed, 2)
-        .transport(SocketTransport::in_process(4))
-        .build()
-        .run();
-    assert_identical(&loopback, &socket, "socket vs loopback");
+    assert_identical(&reference, &chaotic, "empty chaos plan over the socket");
+    assert_eq!(reference.journal.to_csv(), chaotic.journal.to_csv());
+}
+
+#[test]
+fn socket_reports_wire_stats_per_round() {
+    let mut sim = builder(11, 2)
+        .transport(SocketTransport::in_process(3))
+        .build();
+    let report = sim.run();
+    let plane = sim.plane();
+    let plane = plane.lock().unwrap();
+    let totals = plane.wire_totals();
+    // Every round recorded its stats; a faultless wire loses nothing and
+    // honest lanes never send a frame the coordinator refuses.
+    assert!(totals.sent > 0);
+    assert_eq!(totals.dropped, 0);
+    assert_eq!(totals.duplicated, 0);
+    assert_eq!(totals.partition_held, 0);
+    assert_eq!(totals.rejected, 0);
+    assert_eq!(report.metrics.chaos_dropped(), 0);
 }
 
 #[test]
@@ -192,15 +219,15 @@ fn spawned_process_sim_matches_virtual() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Any seed, any worker count, any lane count: one canonical journal,
     /// even when every lane is a real TCP connection.
     #[test]
     fn any_socket_lane_count_reproduces_the_virtual_journal(
         seed in 0u64..1_000_000,
-        workers in 1usize..5,
-        lanes in 1usize..6,
+        workers in 1usize..9,
+        lanes in 1usize..9,
     ) {
         let reference = run_virtual(seed, 1);
         let socket = builder(seed, workers)

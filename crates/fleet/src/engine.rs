@@ -42,7 +42,10 @@ pub struct FleetEngine {
 }
 
 impl FleetEngine {
-    /// Creates an engine with `workers` OS threads per round.
+    /// Creates an engine with `workers` OS threads per round. With one
+    /// worker, jobs run inline on the caller's thread, with the same
+    /// fault-injection semantics as the parallel pool; that is the
+    /// reference the parallel configurations are compared against.
     ///
     /// # Panics
     ///
@@ -54,19 +57,6 @@ impl FleetEngine {
             faults: FaultPlan::none(),
             retry: RetryPolicy::none(),
             label: format!("fleet({workers} workers)"),
-        }
-    }
-
-    /// The single-threaded fleet engine: jobs run inline on the caller's
-    /// thread, with the same fault-injection semantics as the parallel
-    /// pool. This is the reference the parallel configurations are
-    /// compared against (and the path doc examples use).
-    pub fn sequential() -> Self {
-        FleetEngine {
-            workers: 1,
-            faults: FaultPlan::none(),
-            retry: RetryPolicy::none(),
-            label: "fleet(sequential)".to_string(),
         }
     }
 

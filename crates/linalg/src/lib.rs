@@ -12,12 +12,8 @@
 //!
 //! Every dense operation reduces each output element to one call of a
 //! shared fixed-order dot micro-kernel (see `kernels`), so cache blocking
-//! and the opt-in `simd` feature (SSE2 on `x86_64`; elsewhere it falls
-//! back to the scalar kernel) change throughput but never bits: results
-//! are bitwise identical at any block size and across the scalar/SIMD
-//! builds. The `simd` feature is the only part of the crate allowed to
-//! use `unsafe` (a single audited intrinsics routine); the default build
-//! keeps `forbid(unsafe_code)`.
+//! changes throughput but never bits: results are bitwise identical at
+//! any block size.
 //!
 //! # Examples
 //!
@@ -39,8 +35,7 @@
 //! [`bofl-mobo`]: https://docs.rs/bofl-mobo
 //! [`bofl-ilp`]: https://docs.rs/bofl-ilp
 
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cholesky;

@@ -22,7 +22,6 @@ use crate::LinalgError;
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -186,8 +185,7 @@ impl Matrix {
     /// contiguous fixed-order dot over the full `k` range, then sweeps the
     /// output in cache blocks. Blocking reorders which elements are
     /// computed, never how each sum is formed, so the result is bitwise
-    /// identical at any block size — and in the `simd` build, which runs
-    /// the same combine tree in SSE2 lanes.
+    /// identical at any block size.
     ///
     /// # Errors
     ///
